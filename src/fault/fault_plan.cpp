@@ -1,9 +1,10 @@
 #include "fault/fault_plan.hpp"
 
-#include <cstdlib>
+#include <climits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 #include "obs/metrics.hpp"
 
 namespace dooc::fault {
@@ -17,18 +18,6 @@ double draw(std::uint64_t seed, int node, bool is_read, std::uint64_t op) {
                  (is_read ? 0x243f6a8885a308d3ull : 0x13198a2e03707344ull) ^
                  (op * 0xa0761d6478bd642full));
   return rng.next_double();
-}
-
-/// "5ms" / "250us" / "2s" / "1.5" (default ms) → seconds.
-double parse_duration_s(const std::string& text) {
-  std::size_t pos = 0;
-  const double value = std::stod(text, &pos);
-  const std::string unit = text.substr(pos);
-  if (unit.empty() || unit == "ms") return value * 1e-3;
-  if (unit == "ns") return value * 1e-9;
-  if (unit == "us") return value * 1e-6;
-  if (unit == "s") return value;
-  throw InvalidArgument("DOOC_FAULTS: unknown duration unit '" + unit + "'");
 }
 
 }  // namespace
@@ -57,79 +46,48 @@ bool FaultPlan::enabled() const noexcept {
          !config_.outages.empty();
 }
 
-FaultConfig FaultPlan::parse(const std::string& spec) {
+FaultConfig FaultPlan::parse(const std::string& text) {
   FaultConfig cfg;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw InvalidArgument("DOOC_FAULTS: expected key=value, got '" + item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "seed") {
-        cfg.seed = std::stoull(value);
-      } else if (key == "read_error") {
-        cfg.read_error_rate = std::stod(value);
-      } else if (key == "write_error") {
-        cfg.write_error_rate = std::stod(value);
-      } else if (key == "short_read") {
-        cfg.short_read_rate = std::stod(value);
-      } else if (key == "latency") {
-        // P:DUR — probability and spike duration.
-        const std::size_t colon = value.find(':');
-        if (colon == std::string::npos) {
-          throw InvalidArgument("DOOC_FAULTS: latency wants P:DURATION, got '" + value + "'");
-        }
-        cfg.latency_rate = std::stod(value.substr(0, colon));
-        cfg.latency_s = parse_duration_s(value.substr(colon + 1));
-      } else if (key == "down") {
-        // NODE@AFTER[+OPS]
-        const std::size_t at = value.find('@');
-        if (at == std::string::npos) {
-          throw InvalidArgument("DOOC_FAULTS: down wants NODE@AFTER[+OPS], got '" + value + "'");
-        }
-        OutageSpec o;
-        o.node = std::stoi(value.substr(0, at));
-        const std::string rest = value.substr(at + 1);
-        const std::size_t plus = rest.find('+');
-        o.after_ops = std::stoull(rest.substr(0, plus));
-        if (plus != std::string::npos) o.duration_ops = std::stoull(rest.substr(plus + 1));
-        cfg.outages.push_back(o);
-      } else if (key == "retries") {
-        cfg.retry.max_attempts = std::stoi(value);
-      } else if (key == "backoff") {
-        // BASE:CAP durations.
-        const std::size_t colon = value.find(':');
-        if (colon == std::string::npos) {
-          throw InvalidArgument("DOOC_FAULTS: backoff wants BASE:CAP, got '" + value + "'");
-        }
-        cfg.retry.base_backoff_s = parse_duration_s(value.substr(0, colon));
-        cfg.retry.max_backoff_s = parse_duration_s(value.substr(colon + 1));
-      } else if (key == "deadline") {
-        cfg.retry.deadline_s = parse_duration_s(value);
-      } else {
-        throw InvalidArgument("DOOC_FAULTS: unknown key '" + key + "'");
-      }
-    } catch (const InvalidArgument&) {
-      throw;
-    } catch (const std::exception&) {
-      throw InvalidArgument("DOOC_FAULTS: malformed value in '" + item + "'");
-    }
-  }
+  spec::parse(
+      "DOOC_FAULTS", text,
+      {{"seed", [&](const spec::Value& v) { cfg.seed = v.uint64(); }},
+       {"read_error", [&](const spec::Value& v) { cfg.read_error_rate = v.real(0.0, 1.0); }},
+       {"write_error", [&](const spec::Value& v) { cfg.write_error_rate = v.real(0.0, 1.0); }},
+       {"short_read", [&](const spec::Value& v) { cfg.short_read_rate = v.real(0.0, 1.0); }},
+       {"latency",
+        [&](const spec::Value& v) {
+          const auto [rate, spike] = v.split(':');
+          if (!spike) v.reject("P:DURATION");
+          cfg.latency_rate = rate.real(0.0, 1.0);
+          cfg.latency_s = spike->duration_s();
+        }},
+       {"down",
+        [&](const spec::Value& v) {
+          const auto [node, when] = v.split('@');
+          if (!when) v.reject("NODE@AFTER[+OPS]");
+          const auto [after, ops] = when->split('+');
+          OutageSpec o;
+          o.node = node.integer(0, INT_MAX);
+          o.after_ops = after.uint64();
+          if (ops) o.duration_ops = ops->uint64();
+          cfg.outages.push_back(o);
+        }},
+       {"retries", [&](const spec::Value& v) { cfg.retry.max_attempts = v.integer(1, INT_MAX); }},
+       {"backoff",
+        [&](const spec::Value& v) {
+          const auto [base, cap] = v.split(':');
+          if (!cap) v.reject("BASE:CAP");
+          cfg.retry.base_backoff_s = base.duration_s();
+          cfg.retry.max_backoff_s = cap->duration_s();
+          if (cfg.retry.base_backoff_s > cfg.retry.max_backoff_s) v.reject("BASE <= CAP");
+        }},
+       {"deadline", [&](const spec::Value& v) { cfg.retry.deadline_s = v.duration_s(); }}});
   return cfg;
 }
 
 std::shared_ptr<FaultPlan> FaultPlan::from_env() {
-  const char* p = std::getenv("DOOC_FAULTS");
-  if (p == nullptr || *p == '\0') return nullptr;
-  return std::make_shared<FaultPlan>(parse(p));
+  const std::string text = spec::env("DOOC_FAULTS");
+  return text.empty() ? nullptr : std::make_shared<FaultPlan>(parse(text));
 }
 
 FaultPlan::NodeCursor& FaultPlan::cursor(int node) {

@@ -26,6 +26,7 @@
 //                     op, for OPS further ops (omit +OPS for a permanent
 //                     outage); repeatable
 //   retries=N, backoff=BASE:CAP, deadline=DUR  override RetryPolicy
+//                     (N >= 1, BASE <= CAP; probabilities lie in [0, 1])
 //
 // Injection sites (all at the io_worker / storage_node boundary):
 //  * IoWorkerPool::do_read / do_write consult next_read / next_write;

@@ -1,58 +1,23 @@
 #include "jobs/job_manager.hpp"
 
-#include <cstdlib>
+#include <climits>
 #include <set>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/spec.hpp"
 
 namespace dooc::jobs {
 
 JobManagerConfig JobManagerConfig::parse(const std::string& grammar) {
   JobManagerConfig cfg;
-  std::size_t pos = 0;
-  while (pos <= grammar.size()) {
-    std::size_t comma = grammar.find(',', pos);
-    if (comma == std::string::npos) comma = grammar.size();
-    std::string token = grammar.substr(pos, comma - pos);
-    pos = comma + 1;
-    // Trim surrounding whitespace so "active=2, queued=8" parses.
-    const std::size_t b = token.find_first_not_of(" \t");
-    if (b == std::string::npos) continue;
-    const std::size_t e = token.find_last_not_of(" \t");
-    token = token.substr(b, e - b + 1);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      throw InvalidArgument("DOOC_JOBS: expected key=value, got '" + token + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string val = token.substr(eq + 1);
-    int parsed = 0;
-    try {
-      std::size_t used = 0;
-      parsed = std::stoi(val, &used);
-      if (used != val.size()) throw std::invalid_argument(val);
-    } catch (const std::exception&) {
-      throw InvalidArgument("DOOC_JOBS: value of '" + key + "' is not an integer: '" + val + "'");
-    }
-    if (parsed < 0) {
-      throw InvalidArgument("DOOC_JOBS: '" + key + "' must be >= 0 (0 = unlimited)");
-    }
-    if (key == "active") {
-      cfg.max_active = parsed;
-    } else if (key == "queued") {
-      cfg.max_queued = parsed;
-    } else {
-      throw InvalidArgument("DOOC_JOBS: unknown key '" + key + "' (want active/queued)");
-    }
-  }
+  spec::parse("DOOC_JOBS", grammar,
+              {{"active", [&](const spec::Value& v) { cfg.max_active = v.integer(0, INT_MAX); }},
+               {"queued", [&](const spec::Value& v) { cfg.max_queued = v.integer(0, INT_MAX); }}});
   return cfg;
 }
 
-JobManagerConfig JobManagerConfig::from_env() {
-  const char* env = std::getenv("DOOC_JOBS");
-  return env != nullptr ? parse(env) : JobManagerConfig{};
-}
+JobManagerConfig JobManagerConfig::from_env() { return parse(spec::env("DOOC_JOBS")); }
 
 JobManager::JobManager(storage::StorageCluster& cluster, sched::Engine& engine,
                        JobManagerConfig config)
@@ -137,14 +102,21 @@ void JobManager::on_job_done(JobId id) {
       dispatch.push_back(queue_.front());
       queue_.pop_front();
       states_[dispatch.back().id] = JobState::Running;
+      handing_off_.insert(dispatch.back().id);
       ++active_;
     }
   }
-  dispatched_cv_.notify_all();
+  state_cv_.notify_all();
   // Dispatch with the lock released: an empty graph settles inside
-  // submit(), re-entering this callback.
+  // submit(), re-entering this callback. An awaiter wakes only once its job
+  // is in the engine, or engine_.await() would not know the id yet.
   for (const Pending& p : dispatch) {
     engine_.submit(*p.graph, sched::SubmitOptions{p.id, p.options.weight, p.options.priority});
+    {
+      std::lock_guard lock(mutex_);
+      handing_off_.erase(p.id);
+    }
+    state_cv_.notify_all();
   }
 }
 
@@ -153,7 +125,9 @@ sched::Report JobManager::await(JobId id) {
     std::unique_lock lock(mutex_);
     auto it = states_.find(id);
     DOOC_REQUIRE(it != states_.end(), "await() of an unknown or already-awaited job");
-    dispatched_cv_.wait(lock, [&] { return states_.at(id) != JobState::Queued; });
+    state_cv_.wait(lock, [&] {
+      return states_.at(id) != JobState::Queued && handing_off_.count(id) == 0;
+    });
   }
   sched::Report report;
   std::exception_ptr err;
@@ -163,7 +137,10 @@ sched::Report JobManager::await(JobId id) {
     err = std::current_exception();
   }
   {
-    std::lock_guard lock(mutex_);
+    // The engine wakes its awaiters before it calls on_job_done(); reap
+    // only after that, so the slot is released when await() returns.
+    std::unique_lock lock(mutex_);
+    state_cv_.wait(lock, [&] { return states_.at(id) == JobState::Finished; });
     states_.erase(id);
   }
   if (err) std::rethrow_exception(err);

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "jobs/job.hpp"
 #include "sched/engine.hpp"
@@ -86,9 +87,11 @@ class JobManager {
   JobManagerConfig config_;
 
   std::mutex mutex_;
-  std::condition_variable dispatched_cv_;  ///< signalled when a queued job starts
-  std::deque<Pending> queue_;              ///< priority-desc, FIFO within a tier
+  std::condition_variable state_cv_;  ///< signalled when a job starts or finishes
+  std::deque<Pending> queue_;         ///< priority-desc, FIFO within a tier
   std::unordered_map<JobId, JobState> states_;
+  /// Dequeued jobs not yet handed to engine_.submit().
+  std::unordered_set<JobId> handing_off_;
   std::size_t active_ = 0;
   std::uint64_t rejected_ = 0;
 };

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/serialize.hpp"
+#include "common/spec.hpp"
 #include "obs/trace.hpp"
 
 namespace dooc::obs::telemetry {
@@ -124,84 +125,29 @@ MetricsSnapshot get_snapshot(BinaryReader& r) {
   return snap;
 }
 
-double parse_double(const char* env, const std::string& key, const std::string& val, double lo,
-                    double hi) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (end == val.c_str() || *end != '\0' || !(v >= lo) || !(v <= hi)) {
-    throw InvalidArgument(std::string(env) + ": " + key + " wants a float in [" +
-                          std::to_string(lo) + "," + std::to_string(hi) + "], got '" + val + "'");
-  }
-  return v;
-}
-
-int parse_int(const char* env, const std::string& key, const std::string& val, long lo, long hi) {
-  char* end = nullptr;
-  const long v = std::strtol(val.c_str(), &end, 10);
-  if (end == val.c_str() || *end != '\0' || v < lo || v > hi) {
-    throw InvalidArgument(std::string(env) + ": " + key + " wants an int in [" +
-                          std::to_string(lo) + "," + std::to_string(hi) + "], got '" + val + "'");
-  }
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 // ---- config -----------------------------------------------------------------
 
-TelemetryConfig TelemetryConfig::parse(const std::string& spec) {
+TelemetryConfig TelemetryConfig::parse(const std::string& text) {
   TelemetryConfig cfg;
-  if (spec.empty()) return cfg;
-  cfg.enabled = true;  // setting the variable means "on" unless it says off
-  constexpr const char* kEnv = "DOOC_TELEMETRY";
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string tok =
-        spec.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    start = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (tok.empty()) continue;
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      if (!first || (tok != "on" && tok != "off")) {
-        throw InvalidArgument(std::string(kEnv) + ": unknown token '" + tok +
-                              "' (want on|off, interval=, miss=, stall=, zscore=, slow=, p99=, "
-                              "history=, port=)");
-      }
-      cfg.enabled = tok == "on";
-    } else {
-      const std::string key = tok.substr(0, eq);
-      const std::string val = tok.substr(eq + 1);
-      if (key == "interval") {
-        cfg.interval_ms = parse_int(kEnv, key, val, 1, 3600'000);
-      } else if (key == "miss") {
-        cfg.miss_intervals = parse_int(kEnv, key, val, 1, 1000);
-      } else if (key == "stall") {
-        cfg.stall_intervals = parse_int(kEnv, key, val, 1, 100000);
-      } else if (key == "zscore") {
-        cfg.straggler_zscore = parse_double(kEnv, key, val, 0.1, 100.0);
-      } else if (key == "slow") {
-        cfg.slow_factor = parse_double(kEnv, key, val, 1.0, 1e6);
-      } else if (key == "p99") {
-        cfg.p99_factor = parse_double(kEnv, key, val, 1.0, 1e6);
-      } else if (key == "history") {
-        cfg.history = parse_int(kEnv, key, val, 2, 100000);
-      } else if (key == "port") {
-        cfg.metrics_port = parse_int(kEnv, key, val, 0, 65535);
-      } else {
-        throw InvalidArgument(std::string(kEnv) + ": unknown key '" + key + "'");
-      }
-    }
-    first = false;
-  }
+  // A spec with any token in it means "on" unless it says off.
+  cfg.enabled = text.find_first_not_of(" \t,") != std::string::npos;
+  spec::parse(
+      "DOOC_TELEMETRY", text,
+      {{"interval", [&](const spec::Value& v) { cfg.interval_ms = v.integer(1, 3600'000); }},
+       {"miss", [&](const spec::Value& v) { cfg.miss_intervals = v.integer(1, 1000); }},
+       {"stall", [&](const spec::Value& v) { cfg.stall_intervals = v.integer(1, 100000); }},
+       {"zscore", [&](const spec::Value& v) { cfg.straggler_zscore = v.real(0.1, 100.0); }},
+       {"slow", [&](const spec::Value& v) { cfg.slow_factor = v.real(1.0, 1e6); }},
+       {"p99", [&](const spec::Value& v) { cfg.p99_factor = v.real(1.0, 1e6); }},
+       {"history", [&](const spec::Value& v) { cfg.history = v.integer(2, 100000); }},
+       {"port", [&](const spec::Value& v) { cfg.metrics_port = v.integer(0, 65535); }}},
+      [&](const spec::Value& v) { cfg.enabled = v.choice({"off", "on"}) == 1; });
   return cfg;
 }
 
-TelemetryConfig TelemetryConfig::from_env() {
-  const char* env = std::getenv("DOOC_TELEMETRY");
-  return env != nullptr ? parse(env) : TelemetryConfig{};
-}
+TelemetryConfig TelemetryConfig::from_env() { return parse(spec::env("DOOC_TELEMETRY")); }
 
 // ---- frame codec ------------------------------------------------------------
 

@@ -71,8 +71,8 @@ struct TelemetryConfig {
   }
 
   /// Parse the DOOC_TELEMETRY grammar. Throws InvalidArgument on unknown
-  /// keys or out-of-range values. An empty spec is the disabled default; a
-  /// non-empty spec enables telemetry unless it says "off".
+  /// keys or out-of-range values. A spec without tokens is the disabled
+  /// default; any other spec enables telemetry unless it says "off".
   [[nodiscard]] static TelemetryConfig parse(const std::string& spec);
   /// DOOC_TELEMETRY from the environment (unset -> disabled default).
   [[nodiscard]] static TelemetryConfig from_env();

@@ -1,12 +1,14 @@
 #include "spmv/codec.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/spec.hpp"
 #include "spmv/csr.hpp"
 #include "spmv/sell.hpp"
 #include "spmv/wire.hpp"
@@ -304,76 +306,23 @@ const char* mode_name(Mode m) noexcept {
   return "unknown";
 }
 
-CodecConfig CodecConfig::parse(const std::string& spec) {
+CodecConfig CodecConfig::parse(const std::string& text) {
   CodecConfig cfg;
-  if (spec.empty()) return cfg;
-  const auto parse_mode = [](const std::string& v) -> std::optional<Mode> {
-    if (v == "off") return Mode::Off;
-    if (v == "on") return Mode::On;
-    if (v == "adaptive") return Mode::Adaptive;
-    return std::nullopt;
+  const spec::Setter mode = [&](const spec::Value& v) {  // names in Mode's order
+    cfg.mode = static_cast<Mode>(v.choice({"off", "on", "adaptive"}));
   };
-  const auto parse_bool = [](const std::string& key, const std::string& v) {
-    if (v == "0" || v == "false") return false;
-    if (v == "1" || v == "true") return true;
-    throw InvalidArgument("DOOC_CODEC: '" + key + "' wants 0|1, got '" + v + "'");
-  };
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string tok =
-        spec.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    start = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (tok.empty()) continue;
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      const auto m = parse_mode(tok);
-      if (!first || !m) {
-        throw InvalidArgument("DOOC_CODEC: unknown token '" + tok +
-                              "' (want mode=on|off|adaptive, min_ratio=, shuffle=, direct_io=, "
-                              "read_ahead=)");
-      }
-      cfg.mode = *m;
-    } else {
-      const std::string key = tok.substr(0, eq);
-      const std::string val = tok.substr(eq + 1);
-      if (key == "mode") {
-        const auto m = parse_mode(val);
-        if (!m) throw InvalidArgument("DOOC_CODEC: bad mode '" + val + "'");
-        cfg.mode = *m;
-      } else if (key == "min_ratio") {
-        char* end = nullptr;
-        const double r = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0' || !(r >= 1.0)) {
-          throw InvalidArgument("DOOC_CODEC: min_ratio wants a float >= 1, got '" + val + "'");
-        }
-        cfg.min_ratio = r;
-      } else if (key == "shuffle") {
-        cfg.shuffle_values = parse_bool(key, val);
-      } else if (key == "direct_io") {
-        cfg.direct_io = parse_bool(key, val);
-      } else if (key == "read_ahead") {
-        char* end = nullptr;
-        const long n = std::strtol(val.c_str(), &end, 10);
-        if (end == val.c_str() || *end != '\0' || n < 0 || n > 64) {
-          throw InvalidArgument("DOOC_CODEC: read_ahead wants an int in [0,64], got '" + val +
-                                "'");
-        }
-        cfg.read_ahead = static_cast<int>(n);
-      } else {
-        throw InvalidArgument("DOOC_CODEC: unknown key '" + key + "'");
-      }
-    }
-    first = false;
-  }
+  spec::parse(
+      "DOOC_CODEC", text,
+      {{"mode", mode},
+       {"min_ratio", [&](const spec::Value& v) { cfg.min_ratio = v.real(1.0, DBL_MAX); }},
+       {"shuffle", [&](const spec::Value& v) { cfg.shuffle_values = v.boolean(); }},
+       {"direct_io", [&](const spec::Value& v) { cfg.direct_io = v.boolean(); }},
+       {"read_ahead", [&](const spec::Value& v) { cfg.read_ahead = v.integer(0, 64); }}},
+      mode);
   return cfg;
 }
 
-CodecConfig CodecConfig::from_env() {
-  const char* env = std::getenv("DOOC_CODEC");
-  return env != nullptr ? parse(env) : CodecConfig{};
-}
+CodecConfig CodecConfig::from_env() { return parse(spec::env("DOOC_CODEC")); }
 
 bool is_encoded(std::span<const std::byte> bytes) noexcept {
   if (bytes.size() < 8) return false;

@@ -85,9 +85,10 @@ struct CodecConfig {
 
   [[nodiscard]] bool enabled() const noexcept { return mode != Mode::Off; }
 
-  /// Parse a `key=value,...` spec: `mode=on|off|adaptive` (a bare leading
-  /// `on|off|adaptive` token is also accepted), `min_ratio=<float>=1>`,
-  /// `shuffle=0|1`, `direct_io=0|1`, `read_ahead=<int>=0>`.
+  /// Parse a `key=value,...` spec (common/spec grammar):
+  /// `mode=on|off|adaptive` (a bare leading `on|off|adaptive` token is also
+  /// accepted), `min_ratio=<float>=1>`, `shuffle=0|1`, `direct_io=0|1`,
+  /// `read_ahead=<int in [0,64]>`.
   /// Throws InvalidArgument on unknown keys or malformed values.
   static CodecConfig parse(const std::string& spec);
 

@@ -1,10 +1,9 @@
 #include "storage/replication.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
-#include "common/error.hpp"
+#include "common/spec.hpp"
 
 namespace dooc::storage::replication {
 
@@ -44,67 +43,22 @@ void HeatTracker::forget_array(const ArrayName& name) {
 
 namespace dooc::storage {
 
-ReplicationConfig ReplicationConfig::parse(const std::string& spec) {
+ReplicationConfig ReplicationConfig::parse(const std::string& text) {
   ReplicationConfig cfg;
-  if (spec.empty()) return cfg;
-  const auto parse_onoff = [](const std::string& v) -> std::optional<bool> {
-    if (v == "on" || v == "1" || v == "true") return true;
-    if (v == "off" || v == "0" || v == "false") return false;
-    return std::nullopt;
+  const spec::Setter mode = [&](const spec::Value& v) {  // odd index = on
+    cfg.enabled = v.choice({"off", "on", "0", "1", "false", "true"}) % 2 == 1;
   };
-  const auto parse_int = [](const std::string& key, const std::string& val, long lo, long hi) {
-    char* end = nullptr;
-    errno = 0;
-    const long n = std::strtol(val.c_str(), &end, 10);
-    if (end == val.c_str() || *end != '\0' || errno == ERANGE || n < lo || n > hi) {
-      throw InvalidArgument("DOOC_REPLICATION: " + key + " wants an int in [" +
-                            std::to_string(lo) + "," + std::to_string(hi) + "], got '" + val +
-                            "'");
-    }
-    return n;
-  };
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string tok =
-        spec.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    start = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (tok.empty()) continue;
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      const auto mode = parse_onoff(tok);
-      if (!first || !mode) {
-        throw InvalidArgument("DOOC_REPLICATION: unknown token '" + tok +
-                              "' (want on|off, hot_threshold=, max_replicas=, decay=)");
-      }
-      cfg.enabled = *mode;
-    } else {
-      const std::string key = tok.substr(0, eq);
-      const std::string val = tok.substr(eq + 1);
-      if (key == "mode") {
-        const auto mode = parse_onoff(val);
-        if (!mode) throw InvalidArgument("DOOC_REPLICATION: bad mode '" + val + "'");
-        cfg.enabled = *mode;
-      } else if (key == "hot_threshold") {
-        cfg.hot_threshold = static_cast<std::uint32_t>(parse_int(key, val, 1, 1 << 20));
-      } else if (key == "max_replicas") {
-        cfg.max_replicas = static_cast<int>(parse_int(key, val, 1, 4096));
-      } else if (key == "decay") {
-        cfg.decay = static_cast<std::uint32_t>(parse_int(key, val, 1, 1 << 30));
-      } else {
-        throw InvalidArgument("DOOC_REPLICATION: unknown key '" + key + "'");
-      }
-    }
-    first = false;
-  }
+  spec::parse(
+      "DOOC_REPLICATION", text,
+      {{"mode", mode},
+       {"hot_threshold", [&](const spec::Value& v) { cfg.hot_threshold = v.integer(1, 1 << 20); }},
+       {"max_replicas", [&](const spec::Value& v) { cfg.max_replicas = v.integer(1, 4096); }},
+       {"decay", [&](const spec::Value& v) { cfg.decay = v.integer(1, 1 << 30); }}},
+      mode);
   return cfg;
 }
 
-ReplicationConfig ReplicationConfig::from_env() {
-  const char* env = std::getenv("DOOC_REPLICATION");
-  return env != nullptr ? parse(env) : ReplicationConfig{};
-}
+ReplicationConfig ReplicationConfig::from_env() { return parse(spec::env("DOOC_REPLICATION")); }
 
 }  // namespace dooc::storage
 

@@ -813,10 +813,8 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
     block->read_waiters.clear();
     block->read_pins += static_cast<int>(waiters.size());
   }
-  for (auto& w : waiters) {
-    const Interval iv = w.iv;
-    deliver(std::move(w), ReadHandle(this, block, iv), nullptr);
-  }
+  // Account for the copy before waking its readers, so a read that has
+  // returned is already visible to the catalog's max_replicas check.
   if (bypass && durable) {
     m_replica_bypass_->add();
     {
@@ -827,10 +825,15 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
       obs::emit_instant(obs::intern("replication"), obs::intern("bypass"), id_,
                         static_cast<int>(block->key.block));
     }
-    return;  // transient copy: do not register as a replica holder
+    // Transient copy: not registered as a replica holder.
+  } else {
+    // Outside mutex_: note_holder may fire awaiter callbacks synchronously.
+    catalog_->shard_for(meta.name).note_holder(block->key, id_);
   }
-  // Outside mutex_: note_holder may fire awaiter callbacks synchronously.
-  catalog_->shard_for(meta.name).note_holder(block->key, id_);
+  for (auto& w : waiters) {
+    const Interval iv = w.iv;
+    deliver(std::move(w), ReadHandle(this, block, iv), nullptr);
+  }
 }
 
 void StorageNode::fail_block(const BlockPtr& block, std::exception_ptr error) {

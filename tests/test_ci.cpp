@@ -82,7 +82,9 @@ TEST(MScheme, DimensionGrowsExponentiallyWithNmax) {
   for (int nmax = 0; nmax <= 6; nmax += 2) {
     const auto d = basis_dimension({3, 3, nmax, 0});
     EXPECT_GT(d, prev);
-    if (prev > 0) EXPECT_GT(d, 3 * prev);  // super-linear growth
+    if (prev > 0) {
+      EXPECT_GT(d, 3 * prev);  // super-linear growth
+    }
     prev = d;
   }
 }

@@ -96,6 +96,24 @@ TEST(CodecConfig, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(CodecConfig::parse("on,read_ahead=-1"), InvalidArgument);
 }
 
+TEST(CodecConfig, ParsesTheDocumentedAndBenchmarkSpecs) {
+  const CodecConfig tuned = CodecConfig::parse("adaptive,min_ratio=1.2,read_ahead=2");
+  EXPECT_EQ(tuned.mode, Mode::Adaptive);
+  EXPECT_DOUBLE_EQ(tuned.min_ratio, 1.2);
+  EXPECT_EQ(tuned.read_ahead, 2);
+  EXPECT_TRUE(tuned.shuffle_values);
+  EXPECT_FALSE(tuned.direct_io);
+  EXPECT_EQ(CodecConfig::parse("adaptive").mode, Mode::Adaptive);
+
+  const CodecConfig on = CodecConfig::parse("on");
+  EXPECT_EQ(on.mode, Mode::On);
+  EXPECT_DOUBLE_EQ(on.min_ratio, CodecConfig{}.min_ratio);
+  EXPECT_EQ(on.read_ahead, 0);
+  const CodecConfig off = CodecConfig::parse("off");
+  EXPECT_FALSE(off.enabled());
+  EXPECT_TRUE(off.shuffle_values);
+}
+
 // ---------------------------------------------------------------------------
 // Round trip: every codec x format pair, bitwise
 // ---------------------------------------------------------------------------
@@ -328,7 +346,7 @@ TEST(CodecHostile, HugeZigzagDeltaIsRejectedWithoutOverflow) {
                                  std::byte{0x02},   // encoding: zigzag-u32
                                  std::byte{0x0B},   // enc_len = 11
                                  std::byte{0x02}};  // zigzag(+1) -> prev = 1
-  body.insert(body.end(), {std::byte{0xFE}});  // varint(2^64 - 2): unzigzag = INT64_MAX
+  body.push_back(std::byte{0xFE});  // varint(2^64 - 2): unzigzag = INT64_MAX
   body.insert(body.end(), 8, std::byte{0xFF});
   body.push_back(std::byte{0x01});
   try {

@@ -47,7 +47,7 @@ TEST(DataBuffer, CloneIsDeep) {
 
 TEST(DataBuffer, AsRejectsMisalignedSize) {
   DataBuffer a(10);
-  EXPECT_THROW(a.as<std::uint64_t>(), InvalidArgument);
+  EXPECT_THROW((void)a.as<std::uint64_t>(), InvalidArgument);
 }
 
 TEST(Serialize, RoundTripsScalarsStringsVectors) {

@@ -113,6 +113,30 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
       << "rates outside [0,1] must be rejected at construction";
 }
 
+TEST(FaultPlan, ParsesTheDocumentedExamples) {
+  const FaultConfig header = FaultPlan::parse(
+      "seed=7,read_error=0.05,write_error=0.01,short_read=0.02,"
+      "latency=0.1:5ms,down=1@40,retries=4,backoff=1ms:50ms");
+  EXPECT_EQ(header.seed, 7u);
+  EXPECT_DOUBLE_EQ(header.short_read_rate, 0.02);
+  ASSERT_EQ(header.outages.size(), 1u);
+  EXPECT_EQ(header.outages[0].duration_ops, UINT64_MAX);
+  EXPECT_EQ(header.retry.max_attempts, 4);
+  EXPECT_DOUBLE_EQ(header.retry.max_backoff_s, 0.050);
+
+  const FaultConfig reads = FaultPlan::parse("seed=7,read_error=0.05");
+  EXPECT_EQ(reads.seed, 7u);
+  EXPECT_DOUBLE_EQ(reads.read_error_rate, 0.05);
+  EXPECT_TRUE(reads.outages.empty());
+
+  const FaultConfig outage = FaultPlan::parse("down=1@40+100");
+  ASSERT_EQ(outage.outages.size(), 1u);
+  EXPECT_EQ(outage.outages[0].node, 1);
+  EXPECT_EQ(outage.outages[0].after_ops, 40u);
+  EXPECT_EQ(outage.outages[0].duration_ops, 100u);
+  EXPECT_EQ(outage.seed, 1u) << "absent keys keep their defaults";
+}
+
 TEST(FaultPlan, OutageWindowsRunOnTheOpClock) {
   FaultConfig cfg = FaultPlan::parse("down=0@3+2");
   FaultPlan plan(cfg);

@@ -11,7 +11,7 @@ TEST(Triangular, GridSizeRoundTrips) {
   EXPECT_EQ(triangular_grid_d(1128), 47);
   EXPECT_EQ(triangular_grid_d(4560), 95);
   EXPECT_EQ(triangular_grid_d(18336), 191);
-  EXPECT_THROW(triangular_grid_d(100), dooc::InvalidArgument);
+  EXPECT_THROW((void)triangular_grid_d(100), dooc::InvalidArgument);
 }
 
 TEST(Triangular, NextTriangularCovers) {

@@ -50,6 +50,17 @@ TEST(ReplicationConfig, BareTokenAndModeKey) {
   EXPECT_TRUE(ReplicationConfig::parse("on,,decay=8").enabled);
 }
 
+TEST(ReplicationConfig, ParsesTheDocumentedExamples) {
+  const ReplicationConfig cfg = ReplicationConfig::parse("on,hot_threshold=2,max_replicas=4");
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_EQ(cfg.hot_threshold, 2u);
+  EXPECT_EQ(cfg.max_replicas, 4);
+  EXPECT_EQ(cfg.decay, 64u);
+  const ReplicationConfig off = ReplicationConfig::parse("off");
+  EXPECT_FALSE(off.enabled);
+  EXPECT_EQ(off.hot_threshold, 4u);
+}
+
 TEST(ReplicationConfig, HostileInputsThrow) {
   const char* bad[] = {
       "banana",                        // unknown bare token

@@ -94,6 +94,18 @@ TEST(TelemetryConfig, BareOffDisablesAndKeyOnlySpecEnables) {
   EXPECT_EQ(c.interval_ms, 50);
 }
 
+TEST(TelemetryConfig, ParsesTheDocumentedAndBenchmarkSpecs) {
+  const TelemetryConfig scrape = TelemetryConfig::parse("on,interval=100,port=9464");
+  EXPECT_TRUE(scrape.enabled);
+  EXPECT_EQ(scrape.interval_ms, 100);
+  EXPECT_EQ(scrape.metrics_port, 9464);
+  EXPECT_EQ(scrape.miss_intervals, 3);
+  const TelemetryConfig off = TelemetryConfig::parse("off");
+  EXPECT_FALSE(off.enabled);
+  EXPECT_EQ(off.interval_ms, TelemetryConfig{}.interval_ms);
+  EXPECT_EQ(off.metrics_port, 0);
+}
+
 TEST(TelemetryConfig, RejectsUnknownKeysBadValuesAndBareTokens) {
   EXPECT_THROW((void)TelemetryConfig::parse("bogus"), InvalidArgument);
   EXPECT_THROW((void)TelemetryConfig::parse("on,color=red"), InvalidArgument);

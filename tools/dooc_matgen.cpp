@@ -1,7 +1,7 @@
 // Matrix generator CLI: produce test matrices in binary-CSR (the
 // middleware's on-disk format) or Matrix Market form.
 //
-//   dooc_matgen --kind=uniform-gap --rows=10000 --cols=10000 --nnz=200000 \
+//   dooc_matgen --kind=uniform-gap --rows=10000 --cols=10000 --nnz=200000
 //               --out=A.bin [--format=csr|sell|mtx] [--seed=42]
 //   dooc_matgen --kind=power-law --rows=10000 --nnz=500000 --alpha=1.5 ...
 //   dooc_matgen --kind=laplacian --rows=4096 --out=L.mtx --format=mtx
